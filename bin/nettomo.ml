@@ -634,7 +634,8 @@ let serve_cmd =
       "Persistent artifact store directory (created if missing); answers \
        computed by this server warm it and later runs reuse them. Without \
        this flag the NETTOMO_STORE environment variable, when non-empty, \
-       names the directory instead."
+       names the directory instead; NETTOMO_STORE_MAX_BYTES, when set, \
+       overrides the store's size bound."
     in
     Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
   in
@@ -711,14 +712,14 @@ let serve_cmd =
   in
   let run jobs seed no_wall_time store_dir trace listen tcp max_conns
       shed_wait_p95 max_line_bytes log_file slow_ms =
-    let log_file =
-      match log_file with
-      | Some _ as f -> f
+    (* A flag left unset falls back to its environment variable, when
+       that is non-empty. *)
+    let or_env var = function
+      | Some _ as v -> v
       | None -> (
-          match Sys.getenv_opt "NETTOMO_LOG" with
-          | None | Some "" -> None
-          | Some file -> Some file)
+          match Sys.getenv_opt var with None | Some "" -> None | v -> v)
     in
+    let log_file = or_env "NETTOMO_LOG" log_file in
     (match Sys.getenv_opt "NETTOMO_LOG_LEVEL" with
     | None | Some "" -> ()
     | Some s -> (
@@ -726,15 +727,12 @@ let serve_cmd =
         | Some l -> Obs.Log.set_level l
         | None -> ()));
     (match log_file with None -> () | Some file -> Obs.Log.to_file file);
-    let trace =
-      match trace with
-      | Some _ as t -> t
-      | None -> (
-          match Sys.getenv_opt "NETTOMO_TRACE" with
-          | None | Some "" -> None
-          | Some file -> Some file)
-    in
+    let trace = or_env "NETTOMO_TRACE" trace in
     if Option.is_some trace then Obs.Trace.enable ();
+    let store_dir = or_env "NETTOMO_STORE" store_dir in
+    let max_bytes =
+      Option.bind (Sys.getenv_opt "NETTOMO_STORE_MAX_BYTES") int_of_string_opt
+    in
     let write_trace () =
       match trace with
       | None -> ()
@@ -758,7 +756,7 @@ let serve_cmd =
           Fun.protect ~finally:write_trace (fun () ->
               Pool.with_pool ~jobs (fun pool ->
                   let store =
-                    Option.map (fun d -> Store.open_dir d) store_dir
+                    Option.map (fun d -> Store.open_dir ?max_bytes d) store_dir
                   in
                   match socket_listen with
                   | None ->

@@ -459,9 +459,9 @@ let dispatch t req =
         ]
   | "metrics" ->
       (* Process-wide Obs registry dump. The session/store counters in
-         "stats" read the very same registry cells, so the two views
-         cannot disagree. Needs no session: a client may scrape before
-         loading. *)
+         "stats" are bumped by the same calls that bump these cells, so
+         the two views count the same events. Needs no session: a
+         client may scrape before loading. *)
       Ok [ ("metrics", Jsonx.String (Obs.Metrics.dump ())) ]
   | "slow" ->
       (* The process-wide slow-request ring (see Obs.Slow); needs no

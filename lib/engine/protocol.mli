@@ -98,8 +98,7 @@ val create :
     seed; [emit_wall_ms] (default [true]) controls the ["wall_ms"]
     response field — golden-file tests turn it off for byte-stable
     output; [store] is handed to every session the server creates
-    (sessions fall back to [NETTOMO_STORE] when absent, see
-    {!Session.create}); [slow_ms] arms slow-request capture — any
+    (without it sessions are memory-only); [slow_ms] arms slow-request capture — any
     request whose wall time reaches the threshold has its span tree
     and per-layer breakdown pushed onto {!Nettomo_obs.Obs.Slow} and
     logged at [warn]. *)

@@ -46,71 +46,53 @@ type stats = {
   full_computes : int;
 }
 
-(* The memoised query kinds, used to label memo hit/miss counters on
-   the Obs registry. *)
-type query =
-  | Q_identifiable
-  | Q_classify
-  | Q_mmp
-  | Q_plan
-  | Q_coverage
-  | Q_augment
-  | Q_solve
+(* A per-session count beside the registry cell that every session
+   shares for the same (name, labels): [stats] reads this session's
+   [n], the metrics dump the process-wide total. The cell is looked up
+   rather than registered per session, so a [load] per request does
+   not grow the registry. *)
+type count = { mutable n : int; cell : Obs.Metrics.counter }
 
-let query_index = function
-  | Q_identifiable -> 0
-  | Q_classify -> 1
-  | Q_mmp -> 2
-  | Q_plan -> 3
-  | Q_coverage -> 4
-  | Q_augment -> 5
-  | Q_solve -> 6
+let count ?labels name = { n = 0; cell = Obs.Metrics.shared_counter ?labels name }
 
-let query_labels =
-  [ "identifiable"; "classify"; "mmp"; "plan"; "coverage"; "augment"; "solve" ]
+let bump ?(by = 1) c =
+  c.n <- c.n + by;
+  Obs.Metrics.incr ~by c.cell
 
-(* Counters are per-session Obs instruments: [stats] reads this
-   session's cells, the process-wide metrics dump aggregates them, so
-   the two views are the same memory and can never disagree. *)
 type counters = {
-  c_deltas : Obs.Metrics.counter;
-  c_queries : Obs.Metrics.counter;
-  c_memo_hits : Obs.Metrics.counter array; (* indexed by query_index *)
-  c_memo_misses : Obs.Metrics.counter array;
-  c_degree_shortcuts : Obs.Metrics.counter;
-  c_verdict_carries : Obs.Metrics.counter;
-  c_block_hits : Obs.Metrics.counter;
-  c_block_misses : Obs.Metrics.counter;
-  c_full_computes : Obs.Metrics.counter;
-  c_coverage_identifiable : Obs.Metrics.counter;
-  c_coverage_unidentifiable : Obs.Metrics.counter;
-  c_coverage_monitors_added : Obs.Metrics.counter;
-  c_measure_walks : Obs.Metrics.counter;
-  c_measure_links_recovered : Obs.Metrics.counter;
+  deltas : count;
+  queries : count;
+  degree_shortcuts : count;
+  verdict_carries : count;
+  block_hits : count;
+  block_misses : count;
+  full_computes : count;
+  coverage_identifiable : count;
+  coverage_unidentifiable : count;
+  coverage_monitors_added : count;
+  measure_walks : count;
+  measure_links_recovered : count;
 }
 
-let query_label q = List.nth query_labels (query_index q)
-
-let memo_hit c q =
-  Obs.Metrics.incr c.c_memo_hits.(query_index q);
-  Obs.Ctx.add_ambient "memo.hits" 1.;
-  Obs.Log.debug "session.memo_hit" [ ("query", Obs.Log.Str (query_label q)) ]
-
-let memo_miss c q =
-  Obs.Metrics.incr c.c_memo_misses.(query_index q);
-  Obs.Ctx.add_ambient "memo.misses" 1.;
-  Obs.Log.debug "session.memo_miss" [ ("query", Obs.Log.Str (query_label q)) ]
-
-type entry = {
-  mutable e_identifiable : (bool, string) result option;
-  mutable e_classify : (Classify.kind Graph.EdgeMap.t, string) result option;
-  mutable e_plan : (Solver.plan, string) result option;
-  mutable e_coverage : (Coverage.report, string) result option;
-  mutable e_augment : (int * (Coverage.plan, string) result) option;
-      (** keyed by the requested budget [k]; only the most recent one is
-          kept per state *)
-  mutable e_solve : (Solve.solution, string) result option;
+(* One query kind's in-memory answers and its labelled hit/miss
+   counters. *)
+type ('k, 'a) memo = {
+  label : string;
+  table : ('k, ('a, string) result) Hashtbl.t;
+  hits : count;
+  misses : count;
 }
+
+let memo label =
+  let labels = [ ("query", label) ] in
+  {
+    label;
+    table = Hashtbl.create 64;
+    hits = count ~labels "session_memo_hits_total";
+    misses = count ~labels "session_memo_misses_total";
+  }
+
+type state = int64 * int64 (* [Fingerprint.key] *)
 
 type t = {
   mutable net : Net.t;
@@ -127,13 +109,17 @@ type t = {
       (** per-block cut pairs, same key *)
   decomp_memo : (int64, Triconnected.t) Hashtbl.t;
       (** whole decomposition, keyed by the structure fingerprint *)
-  mmp_memo : (int64, (Mmp.report, string) result) Hashtbl.t;
-  memo : (int64 * int64, entry) Hashtbl.t;
-      (** per-state answers, keyed by the full fingerprint *)
+  identifiable_memo : (state, bool) memo;
+  classify_memo : (state, Classify.kind Graph.EdgeMap.t) memo;
+  mmp_memo : (int64, Mmp.report) memo;  (** keyed by the structure alone *)
+  plan_memo : (state, Solver.plan) memo;
+  coverage_memo : (state, Coverage.report) memo;
+  augment_memo : (state * int, Coverage.plan) memo;  (** keyed by budget too *)
+  solve_memo : (state, Solve.solution) memo;
   store : Store.t option;
       (** second-level persistent cache, consulted only when the
           in-memory memos miss and only at full-computation sites *)
-  counters : counters;
+  c : counters;
 }
 
 let count_deg_lt3 net =
@@ -144,24 +130,7 @@ let count_deg_lt3 net =
       else acc)
     g 0
 
-(* NETTOMO_STORE=<dir> enables the persistent cache for sessions created
-   without an explicit [?store]; the empty string means disabled, so
-   tests can force a hermetic environment. NETTOMO_STORE_MAX_BYTES
-   overrides the store's size bound. *)
-let store_of_env () =
-  match Sys.getenv_opt "NETTOMO_STORE" with
-  | None | Some "" -> None
-  | Some dir -> (
-      match
-        Option.bind (Sys.getenv_opt "NETTOMO_STORE_MAX_BYTES") int_of_string_opt
-      with
-      | Some max_bytes -> Some (Store.open_dir ~max_bytes dir)
-      | None -> Some (Store.open_dir dir))
-
 let create ?(seed = 7) ?store net =
-  let store =
-    match store with Some _ as s -> s | None -> store_of_env ()
-  in
   {
     net;
     fp = Fingerprint.of_net net;
@@ -172,41 +141,28 @@ let create ?(seed = 7) ?store net =
     tricache = Hashtbl.create 64;
     paircache = Hashtbl.create 64;
     decomp_memo = Hashtbl.create 64;
-    mmp_memo = Hashtbl.create 64;
-    memo = Hashtbl.create 64;
+    identifiable_memo = memo "identifiable";
+    classify_memo = memo "classify";
+    mmp_memo = memo "mmp";
+    plan_memo = memo "plan";
+    coverage_memo = memo "coverage";
+    augment_memo = memo "augment";
+    solve_memo = memo "solve";
     store;
-    counters =
+    c =
       {
-        c_deltas = Obs.Metrics.counter "session_deltas_total";
-        c_queries = Obs.Metrics.counter "session_queries_total";
-        c_memo_hits =
-          Array.of_list
-            (List.map
-               (fun q ->
-                 Obs.Metrics.counter ~labels:[ ("query", q) ]
-                   "session_memo_hits_total")
-               query_labels);
-        c_memo_misses =
-          Array.of_list
-            (List.map
-               (fun q ->
-                 Obs.Metrics.counter ~labels:[ ("query", q) ]
-                   "session_memo_misses_total")
-               query_labels);
-        c_degree_shortcuts = Obs.Metrics.counter "session_degree_shortcuts_total";
-        c_verdict_carries = Obs.Metrics.counter "session_verdict_carries_total";
-        c_block_hits = Obs.Metrics.counter "session_block_hits_total";
-        c_block_misses = Obs.Metrics.counter "session_block_misses_total";
-        c_full_computes = Obs.Metrics.counter "session_full_computes_total";
-        c_coverage_identifiable =
-          Obs.Metrics.counter "coverage_links_identifiable_total";
-        c_coverage_unidentifiable =
-          Obs.Metrics.counter "coverage_links_unidentifiable_total";
-        c_coverage_monitors_added =
-          Obs.Metrics.counter "coverage_monitors_added_total";
-        c_measure_walks = Obs.Metrics.counter "measure_walks_total";
-        c_measure_links_recovered =
-          Obs.Metrics.counter "measure_links_recovered_total";
+        deltas = count "session_deltas_total";
+        queries = count "session_queries_total";
+        degree_shortcuts = count "session_degree_shortcuts_total";
+        verdict_carries = count "session_verdict_carries_total";
+        block_hits = count "session_block_hits_total";
+        block_misses = count "session_block_misses_total";
+        full_computes = count "session_full_computes_total";
+        coverage_identifiable = count "coverage_links_identifiable_total";
+        coverage_unidentifiable = count "coverage_links_unidentifiable_total";
+        coverage_monitors_added = count "coverage_monitors_added_total";
+        measure_walks = count "measure_walks_total";
+        measure_links_recovered = count "measure_links_recovered_total";
       };
   }
 
@@ -215,48 +171,19 @@ let fingerprint t = t.fp
 let seed t = t.seed
 let store t = t.store
 
-let store_find t key decode =
-  match t.store with
-  | None -> None
-  | Some s ->
-      let r = Store.find_with s key ~decode in
-      Obs.Log.debug
-        (if Option.is_some r then "session.store_hit" else "session.store_miss")
-        [ ("key", Obs.Log.Str key) ];
-      r
-
-let store_put t key payload =
-  match t.store with
-  | None -> ()
-  | Some s ->
-      Store.put s key payload;
-      Obs.Log.debug "session.store_put"
-        [
-          ("key", Obs.Log.Str key);
-          ("bytes", Obs.Log.Int (String.length payload));
-        ]
-
-(* A cache-miss full computation: counted on the registry and
-   attributed to the ambient request, which is what the slow-request
-   per-layer breakdown reports. *)
-let full_compute t =
-  Obs.Metrics.incr t.counters.c_full_computes;
-  Obs.Ctx.add_ambient "full_computes" 1.
-
-let stats t =
-  let c = t.counters in
-  let v = Obs.Metrics.counter_value in
+let stats t : stats =
   {
-    deltas = v c.c_deltas;
-    queries = v c.c_queries;
-    (* Every memo hit increments exactly one labelled cell, so the sum
-       equals the pre-registry scalar counter exactly. *)
-    memo_hits = Array.fold_left (fun acc cell -> acc + v cell) 0 c.c_memo_hits;
-    degree_shortcuts = v c.c_degree_shortcuts;
-    verdict_carries = v c.c_verdict_carries;
-    block_hits = v c.c_block_hits;
-    block_misses = v c.c_block_misses;
-    full_computes = v c.c_full_computes;
+    deltas = t.c.deltas.n;
+    queries = t.c.queries.n;
+    memo_hits =
+      t.identifiable_memo.hits.n + t.classify_memo.hits.n + t.mmp_memo.hits.n
+      + t.plan_memo.hits.n + t.coverage_memo.hits.n + t.augment_memo.hits.n
+      + t.solve_memo.hits.n;
+    degree_shortcuts = t.c.degree_shortcuts.n;
+    verdict_carries = t.c.verdict_carries.n;
+    block_hits = t.c.block_hits.n;
+    block_misses = t.c.block_misses.n;
+    full_computes = t.c.full_computes.n;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -556,7 +483,7 @@ let apply t delta =
   in
   (match result with
   | Ok () ->
-      Obs.Metrics.incr t.counters.c_deltas;
+      bump t.c.deltas;
       check_state t
   | Error _ -> ());
   result
@@ -564,23 +491,69 @@ let apply t delta =
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 
-let memo_entry t =
-  let key = Fingerprint.key t.fp in
-  match Hashtbl.find_opt t.memo key with
-  | Some e -> e
-  | None ->
-      let e =
-        {
-          e_identifiable = None;
-          e_classify = None;
-          e_plan = None;
-          e_coverage = None;
-          e_augment = None;
-          e_solve = None;
-        }
-      in
-      Hashtbl.add t.memo key e;
-      e
+let store_find s key decode =
+  let r = Store.find_with s key ~decode in
+  Obs.Log.debug
+    (if Option.is_some r then "session.store_hit" else "session.store_miss")
+    [ ("key", Obs.Log.Str key) ];
+  r
+
+let store_put s key payload =
+  Store.put s key payload;
+  Obs.Log.debug "session.store_put"
+    [ ("key", Obs.Log.Str key); ("bytes", Obs.Log.Int (String.length payload)) ]
+
+(* The standard query path, in three steps that every answer shares:
+   [persisted] (the store, else compute and publish), [computed] (a
+   counted full analysis under a span) and [memoized] (this kind's
+   in-memory table, then the NETTOMO_CHECK differential). *)
+let persisted t key ~decode ~encode compute =
+  match t.store with
+  | None -> compute ()
+  | Some s -> (
+      match store_find s key decode with
+      | Some r -> r
+      | None ->
+          let r = compute () in
+          store_put s key (encode r);
+          r)
+
+(* A cache-miss full computation: counted on the registry and
+   attributed to the ambient request, which is what the slow-request
+   per-layer breakdown reports. *)
+let computed t label f =
+  bump t.c.full_computes;
+  Obs.Ctx.add_ambient "full_computes" 1.;
+  Obs.Trace.span ~attrs:[ ("query", label) ] "session.compute" f
+
+let memoized t m key ~eq ~scratch compute =
+  bump t.c.queries;
+  let r =
+    match Hashtbl.find_opt m.table key with
+    | Some r ->
+        bump m.hits;
+        Obs.Ctx.add_ambient "memo.hits" 1.;
+        Obs.Log.debug "session.memo_hit" [ ("query", Obs.Log.Str m.label) ];
+        r
+    | None ->
+        bump m.misses;
+        Obs.Ctx.add_ambient "memo.misses" 1.;
+        Obs.Log.debug "session.memo_miss" [ ("query", Obs.Log.Str m.label) ];
+        let r = compute () in
+        Hashtbl.add m.table key r;
+        r
+  in
+  differential t m.label eq r scratch;
+  r
+
+(* The path for an answer whose full computation is the [Scratch]
+   reference itself; [tally] sees each computed answer. *)
+let cached ?(tally = ignore) t m key ~store_key ~decode ~encode ~eq scratch =
+  memoized t m key ~eq ~scratch (fun () ->
+      persisted t (store_key t.fp) ~decode ~encode (fun () ->
+          let r = computed t m.label scratch in
+          tally r;
+          r))
 
 let is_connected_now t =
   match t.connected with
@@ -604,54 +577,36 @@ let compute_identifiable t =
     | _ ->
         if t.deg_lt3 > 0 then begin
           (* Theorem 3.3 needs every non-monitor at degree ≥ 3. *)
-          Obs.Metrics.incr t.counters.c_degree_shortcuts;
+          bump t.c.degree_shortcuts;
           Ok false
         end
         else (
           match t.verdict with
           | Some v ->
-              Obs.Metrics.incr t.counters.c_verdict_carries;
+              bump t.c.verdict_carries;
               Ok v
-          | None -> (
-              let key = Codec.key_identifiable t.fp in
-              match store_find t key Codec.decode_identifiable with
-              | Some r -> r
-              | None ->
-                  full_compute t;
-                  let r =
-                    Obs.Trace.span
-                      ~attrs:[ ("query", "identifiable") ]
-                      "session.compute"
-                      (fun () ->
-                        run_catch (fun () ->
-                            Sparsify.is_three_vertex_connected
-                              (Extended.extend n).Extended.graph))
-                  in
-                  store_put t key (Codec.encode_identifiable r);
-                  r))
+          | None ->
+              persisted t (Codec.key_identifiable t.fp)
+                ~decode:Codec.decode_identifiable
+                ~encode:Codec.encode_identifiable (fun () ->
+                  computed t "identifiable" (fun () ->
+                      run_catch (fun () ->
+                          Sparsify.is_three_vertex_connected
+                            (Extended.extend n).Extended.graph))))
   else
     (* Precondition failure: delegate so the error message matches the
        library's exactly. *)
     Scratch.identifiable n
 
 let identifiable t =
-  Obs.Metrics.incr t.counters.c_queries;
-  let e = memo_entry t in
   let r =
-    match e.e_identifiable with
-    | Some r ->
-        memo_hit t.counters Q_identifiable;
-        r
-    | None ->
-        memo_miss t.counters Q_identifiable;
-        let r = compute_identifiable t in
-        e.e_identifiable <- Some r;
-        r
+    memoized t t.identifiable_memo (Fingerprint.key t.fp) ~eq:Bool.equal
+      ~scratch:(fun () -> Scratch.identifiable t.net)
+      (fun () -> compute_identifiable t)
   in
   (match r with
   | Ok v when Net.kappa t.net >= 3 -> t.verdict <- Some v
   | Ok _ | Error _ -> ());
-  differential t "identifiable" Bool.equal r (fun () -> Scratch.identifiable t.net);
   r
 
 let block_key (block : Biconnected.component) =
@@ -678,23 +633,18 @@ let decomposition t =
               let key = block_key block in
               match Hashtbl.find_opt t.tricache key with
               | Some comps ->
-                  Obs.Metrics.incr t.counters.c_block_hits;
+                  bump t.c.block_hits;
                   Obs.Ctx.add_ambient "block.hits" 1.;
                   (block, comps)
               | None ->
-                  Obs.Metrics.incr t.counters.c_block_misses;
+                  bump t.c.block_misses;
                   Obs.Ctx.add_ambient "block.misses" 1.;
-                  let skey = Codec.key_components key in
                   let comps =
-                    match store_find t skey Codec.decode_components with
-                    | Some comps -> comps
-                    | None ->
-                        let comps =
-                          Triconnected.split_biconnected
-                            (Graph.induced g block.Biconnected.nodes)
-                        in
-                        store_put t skey (Codec.encode_components comps);
-                        comps
+                    persisted t (Codec.key_components key)
+                      ~decode:Codec.decode_components
+                      ~encode:Codec.encode_components (fun () ->
+                        Triconnected.split_biconnected
+                          (Graph.induced g block.Biconnected.nodes))
                   in
                   Hashtbl.add t.tricache key comps;
                   (block, comps))
@@ -709,17 +659,11 @@ let decomposition t =
               match Hashtbl.find_opt t.paircache key with
               | Some pairs -> pairs
               | None ->
-                  let skey = Codec.key_edges key in
                   let pairs =
-                    match store_find t skey Codec.decode_edges with
-                    | Some pairs -> pairs
-                    | None ->
-                        let pairs =
-                          Separation.cut_pairs
-                            (Graph.induced g block.Biconnected.nodes)
-                        in
-                        store_put t skey (Codec.encode_edges pairs);
-                        pairs
+                    persisted t (Codec.key_edges key) ~decode:Codec.decode_edges
+                      ~encode:Codec.encode_edges (fun () ->
+                        Separation.cut_pairs
+                          (Graph.induced g block.Biconnected.nodes))
                   in
                   Hashtbl.add t.paircache key pairs;
                   pairs)
@@ -748,104 +692,30 @@ let decomposition t =
       d
 
 let mmp t =
-  Obs.Metrics.incr t.counters.c_queries;
   let skey = t.fp.Fingerprint.structure in
-  let r =
-    match Hashtbl.find_opt t.mmp_memo skey with
-    | Some r ->
-        memo_hit t.counters Q_mmp;
-        r
-    | None ->
-        memo_miss t.counters Q_mmp;
-        let key = Codec.key_report skey in
-        let r =
-          match store_find t key Codec.decode_report with
-          | Some r -> r
-          | None ->
-              let g = Net.graph t.net in
-              let r =
-                if (not (Graph.is_empty g)) && is_connected_now t then begin
-                  full_compute t;
-                  Obs.Trace.span
-                    ~attrs:[ ("query", "mmp") ]
-                    "session.compute"
-                    (fun () ->
-                      run_catch (fun () ->
-                          Mmp.place_report_decomposed g (decomposition t)))
-                end
-                else Scratch.mmp t.net
-              in
-              store_put t key (Codec.encode_report r);
-              r
-        in
-        Hashtbl.add t.mmp_memo skey r;
-        r
-  in
-  differential t "mmp" equal_report r (fun () -> Scratch.mmp t.net);
-  r
+  memoized t t.mmp_memo skey ~eq:equal_report
+    ~scratch:(fun () -> Scratch.mmp t.net)
+    (fun () ->
+      persisted t (Codec.key_report skey) ~decode:Codec.decode_report
+        ~encode:Codec.encode_report (fun () ->
+          let g = Net.graph t.net in
+          if (not (Graph.is_empty g)) && is_connected_now t then
+            computed t "mmp" (fun () ->
+                run_catch (fun () ->
+                    Mmp.place_report_decomposed g (decomposition t)))
+          else Scratch.mmp t.net))
 
 let classify t =
-  Obs.Metrics.incr t.counters.c_queries;
-  let e = memo_entry t in
-  let r =
-    match e.e_classify with
-    | Some r ->
-        memo_hit t.counters Q_classify;
-        r
-    | None ->
-        memo_miss t.counters Q_classify;
-        let key = Codec.key_classification t.fp in
-        let r =
-          match store_find t key Codec.decode_classification with
-          | Some r -> r
-          | None ->
-              full_compute t;
-              let r =
-                Obs.Trace.span
-                  ~attrs:[ ("query", "classify") ]
-                  "session.compute"
-                  (fun () -> Scratch.classify t.net)
-              in
-              store_put t key (Codec.encode_classification r);
-              r
-        in
-        e.e_classify <- Some r;
-        r
-  in
-  differential t "classify" equal_classification r (fun () ->
-      Scratch.classify t.net);
-  r
+  cached t t.classify_memo (Fingerprint.key t.fp)
+    ~store_key:Codec.key_classification
+    ~decode:Codec.decode_classification ~encode:Codec.encode_classification
+    ~eq:equal_classification (fun () -> Scratch.classify t.net)
 
 let plan t =
-  Obs.Metrics.incr t.counters.c_queries;
-  let e = memo_entry t in
-  let r =
-    match e.e_plan with
-    | Some r ->
-        memo_hit t.counters Q_plan;
-        r
-    | None ->
-        memo_miss t.counters Q_plan;
-        let key = Codec.key_plan ~seed:t.seed t.fp in
-        let r =
-          match store_find t key (Codec.decode_plan ~net:t.net) with
-          | Some r -> r
-          | None ->
-              full_compute t;
-              let r =
-                Obs.Trace.span
-                  ~attrs:[ ("query", "plan") ]
-                  "session.compute"
-                  (fun () -> Scratch.plan ~seed:t.seed t.net)
-              in
-              store_put t key (Codec.encode_plan r);
-              r
-        in
-        e.e_plan <- Some r;
-        r
-  in
-  differential t "plan" equal_plan r (fun () -> Scratch.plan ~seed:t.seed t.net);
-  r
+  cached t t.plan_memo (Fingerprint.key t.fp)
+    ~store_key:(Codec.key_plan ~seed:t.seed)
+    ~decode:(Codec.decode_plan ~net:t.net) ~encode:Codec.encode_plan
+    ~eq:equal_plan (fun () -> Scratch.plan ~seed:t.seed t.net)
 
 (* NETTOMO_CHECK: on graphs small enough for Partial.analyze's Exact
    mode, the structural classifier must reproduce the rank oracle's
@@ -872,84 +742,31 @@ let coverage_oracle t r =
                     (Fingerprint.to_string t.fp)))
 
 let coverage t =
-  Obs.Metrics.incr t.counters.c_queries;
-  let e = memo_entry t in
   let r =
-    match e.e_coverage with
-    | Some r ->
-        memo_hit t.counters Q_coverage;
-        r
-    | None ->
-        memo_miss t.counters Q_coverage;
-        let key = Codec.key_coverage ~seed:t.seed t.fp in
-        let r =
-          match store_find t key Codec.decode_coverage with
-          | Some r -> r
-          | None ->
-              full_compute t;
-              let r =
-                Obs.Trace.span
-                  ~attrs:[ ("query", "coverage") ]
-                  "session.compute"
-                  (fun () -> Scratch.coverage ~seed:t.seed t.net)
-              in
-              (match r with
-              | Ok rep ->
-                  Obs.Metrics.incr
-                    ~by:(ES.cardinal rep.Coverage.identifiable)
-                    t.counters.c_coverage_identifiable;
-                  Obs.Metrics.incr
-                    ~by:(ES.cardinal rep.Coverage.unidentifiable)
-                    t.counters.c_coverage_unidentifiable
-              | Error _ -> ());
-              store_put t key (Codec.encode_coverage r);
-              r
-        in
-        e.e_coverage <- Some r;
-        r
+    cached t t.coverage_memo (Fingerprint.key t.fp)
+      ~store_key:(Codec.key_coverage ~seed:t.seed)
+      ~decode:Codec.decode_coverage ~encode:Codec.encode_coverage
+      ~eq:equal_coverage
+      ~tally:(function
+        | Ok rep ->
+            bump ~by:(ES.cardinal rep.Coverage.identifiable)
+              t.c.coverage_identifiable;
+            bump ~by:(ES.cardinal rep.Coverage.unidentifiable)
+              t.c.coverage_unidentifiable
+        | Error _ -> ())
+      (fun () -> Scratch.coverage ~seed:t.seed t.net)
   in
-  differential t "coverage" equal_coverage r (fun () ->
-      Scratch.coverage ~seed:t.seed t.net);
   coverage_oracle t r;
   r
 
 let augment t ~k =
-  Obs.Metrics.incr t.counters.c_queries;
-  let e = memo_entry t in
-  let r =
-    match e.e_augment with
-    | Some (k', r) when k' = k ->
-        memo_hit t.counters Q_augment;
-        r
-    | Some _ | None ->
-        memo_miss t.counters Q_augment;
-        let key = Codec.key_augment ~seed:t.seed ~k t.fp in
-        let r =
-          match store_find t key Codec.decode_augment with
-          | Some r -> r
-          | None ->
-              full_compute t;
-              let r =
-                Obs.Trace.span
-                  ~attrs:[ ("query", "augment") ]
-                  "session.compute"
-                  (fun () -> Scratch.augment ~seed:t.seed ~k t.net)
-              in
-              (match r with
-              | Ok p ->
-                  Obs.Metrics.incr
-                    ~by:(List.length p.Coverage.added)
-                    t.counters.c_coverage_monitors_added
-              | Error _ -> ());
-              store_put t key (Codec.encode_augment r);
-              r
-        in
-        e.e_augment <- Some (k, r);
-        r
-  in
-  differential t "augment" equal_augment r (fun () ->
-      Scratch.augment ~seed:t.seed ~k t.net);
-  r
+  cached t t.augment_memo (Fingerprint.key t.fp, k)
+    ~store_key:(Codec.key_augment ~seed:t.seed ~k)
+    ~decode:Codec.decode_augment ~encode:Codec.encode_augment ~eq:equal_augment
+    ~tally:(function
+      | Ok p -> bump ~by:(List.length p.Coverage.added) t.c.coverage_monitors_added
+      | Error _ -> ())
+    (fun () -> Scratch.augment ~seed:t.seed ~k t.net)
 
 (* NETTOMO_CHECK: on networks small enough for the exact simple-path
    pipeline, the float metrics recovered from the constructive walks
@@ -989,42 +806,18 @@ let solve_oracle t r =
                   exact))
 
 let solve t =
-  Obs.Metrics.incr t.counters.c_queries;
-  let e = memo_entry t in
   let r =
-    match e.e_solve with
-    | Some r ->
-        memo_hit t.counters Q_solve;
-        r
-    | None ->
-        memo_miss t.counters Q_solve;
-        let key = Codec.key_solution ~seed:t.seed t.fp in
-        let r =
-          match store_find t key Codec.decode_solution with
-          | Some r -> r
-          | None ->
-              full_compute t;
-              let r =
-                Obs.Trace.span
-                  ~attrs:[ ("query", "solve") ]
-                  "session.compute"
-                  (fun () -> Scratch.solve ~seed:t.seed t.net)
-              in
-              (match r with
-              | Ok sol ->
-                  Obs.Metrics.incr ~by:sol.Solve.measurements
-                    t.counters.c_measure_walks;
-                  Obs.Metrics.incr
-                    ~by:(Array.length sol.Solve.metrics)
-                    t.counters.c_measure_links_recovered
-              | Error _ -> ());
-              store_put t key (Codec.encode_solution r);
-              r
-        in
-        e.e_solve <- Some r;
-        r
+    cached t t.solve_memo (Fingerprint.key t.fp)
+      ~store_key:(Codec.key_solution ~seed:t.seed)
+      ~decode:Codec.decode_solution ~encode:Codec.encode_solution
+      ~eq:equal_solution
+      ~tally:(function
+        | Ok sol ->
+            bump ~by:sol.Solve.measurements t.c.measure_walks;
+            bump ~by:(Array.length sol.Solve.metrics)
+              t.c.measure_links_recovered
+        | Error _ -> ())
+      (fun () -> Scratch.solve ~seed:t.seed t.net)
   in
-  differential t "solve" equal_solution r (fun () ->
-      Scratch.solve ~seed:t.seed t.net);
   solve_oracle t r;
   r

@@ -4,10 +4,17 @@
     churn, reusing analysis state across deltas instead of recomputing
     from zero.
 
-    The caching scheme (see DESIGN.md §10) is content-addressed through
-    {!Fingerprint}:
+    Every answer takes one lookup path (see DESIGN.md §10), keyed
+    through {!Fingerprint}: this query kind's in-memory memo, else the
+    persistent {!Nettomo_store.Store} when one is attached (DESIGN.md
+    §11), else a full computation whose result is published to the
+    store; then, with [NETTOMO_CHECK] enabled, a differential replay
+    that re-derives the answer from scratch and raises
+    {!Nettomo_util.Invariant.Violation} on any divergence (including a
+    fingerprint collision or a stale store artifact).
 
-    - per-state answers are memoized by the full fingerprint, so a
+    - per-state answers are memoized by the full fingerprint (MMP by
+      the structure alone, augmentation by state and budget), so a
       delta stream that revisits a state (add a link, remove it again)
       answers in O(1);
     - the triconnected decomposition is reassembled from a per-block
@@ -23,15 +30,9 @@
 
     Caches grow with the number of distinct states visited and are
     never evicted; a long-lived server trades that memory for answer
-    latency. A session may additionally carry a persistent
-    {!Nettomo_store.Store} (see DESIGN.md §11): it is consulted only
-    when the in-memory memos miss and only where a real analysis would
+    latency. The store is consulted only where a real analysis would
     otherwise run, so answers — including their byte-level rendering —
-    are identical with the store disabled, cold, warm, or corrupted.
-    With [NETTOMO_CHECK] enabled every answer is re-derived from
-    scratch and compared — a divergence (including a fingerprint
-    collision or a stale store artifact) raises
-    {!Nettomo_util.Invariant.Violation}. *)
+    are identical with the store disabled, cold, warm, or corrupted. *)
 
 open Nettomo_graph
 
@@ -56,10 +57,7 @@ val pp_delta : Format.formatter -> delta -> unit
 val create : ?seed:int -> ?store:Nettomo_store.Store.t -> Nettomo_core.Net.t -> t
 (** A fresh session over a network. [seed] (default 7) keys the
     deterministic generator used by {!plan}. [store] attaches a
-    persistent second-level cache; when omitted, a non-empty
-    [NETTOMO_STORE] environment variable names a store directory to
-    open (with [NETTOMO_STORE_MAX_BYTES] optionally overriding its
-    size bound), and an empty or unset one leaves the session
+    persistent second-level cache; without it the session is
     memory-only. *)
 
 val net : t -> Nettomo_core.Net.t
@@ -109,8 +107,8 @@ val coverage : t -> (Nettomo_coverage.Coverage.report, string) result
 
 val augment : t -> k:int -> (Nettomo_coverage.Coverage.plan, string) result
 (** {!Nettomo_coverage.Coverage.augment} for a budget of [k] monitor
-    additions. Memoized per (state, [k]) — only the most recently used
-    [k] is kept in memory per state, all are persisted. *)
+    additions. Memoized and persisted per (state, [k]), so returning
+    to an earlier budget on the same state is a memo hit. *)
 
 val solve : t -> (Nettomo_measure.Solve.solution, string) result
 (** A full simulated measurement campaign on the current network:

@@ -73,19 +73,39 @@ module Metrics = struct
   (* nettomo-lint: allow unsafe-shared-mutable — guarded by
      [registry_mu]; every read and write below locks it. *)
   let registry : instrument list ref = ref []
+
+  (* nettomo-lint: allow unsafe-shared-mutable — guarded by
+     [registry_mu], like [registry]; maps (name, sorted labels) to the
+     one cell {!shared_counter} hands out. *)
+  let shared : (string * (string * string) list, instrument) Hashtbl.t =
+    Hashtbl.create 64
+
   let registry_mu = Mutex.create ()
+  let sort_labels = List.sort (fun (a, _) (b, _) -> String.compare a b)
 
   let register name labels cell =
-    let labels =
-      List.sort (fun (a, _) (b, _) -> String.compare a b) labels
-    in
-    let inst = { name; labels; cell } in
+    let inst = { name; labels = sort_labels labels; cell } in
     Mutex.lock registry_mu;
     registry := inst :: !registry;
     Mutex.unlock registry_mu;
     inst
 
   let counter ?(labels = []) name = register name labels (Counter (Atomic.make 0))
+
+  let shared_counter ?(labels = []) name =
+    let key = (name, sort_labels labels) in
+    Mutex.lock registry_mu;
+    let inst =
+      match Hashtbl.find_opt shared key with
+      | Some inst -> inst
+      | None ->
+          let inst = { name; labels = snd key; cell = Counter (Atomic.make 0) } in
+          registry := inst :: !registry;
+          Hashtbl.add shared key inst;
+          inst
+    in
+    Mutex.unlock registry_mu;
+    inst
 
   let incr ?(by = 1) c =
     match c.cell with
@@ -210,7 +230,7 @@ module Metrics = struct
     else Printf.sprintf "%.9g" v
 
   (* Aggregation key: instruments sharing (name, labels) are summed so
-     per-instance handles (one per Session / Store) present as a single
+     per-instance handles (one set per Store) present as a single
      process-wide series. *)
   type agg =
     | ACounter of int
@@ -298,6 +318,7 @@ module Metrics = struct
   let reset () =
     Mutex.lock registry_mu;
     registry := [];
+    Hashtbl.reset shared;
     Mutex.unlock registry_mu
 end
 

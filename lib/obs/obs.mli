@@ -36,12 +36,11 @@ module Clock : sig
 end
 
 module Metrics : sig
-  (** Registry of named instruments.  Instruments are per-instance
-      handles (a [Session] and a [Store] each own theirs, so their
-      [stats] records keep exact per-instance values); {!dump}
-      aggregates all live instruments sharing a (name, labels) pair
-      by summation, so the process-wide view and the per-instance
-      views can never disagree — they are the same cells. *)
+  (** Registry of named instruments.  {!counter} registers a
+      per-instance handle (a [Store] owns its cells, so its [stats]
+      record reads exact per-instance values); {!shared_counter}
+      returns the one cell all sessions bump.  {!dump} aggregates all
+      live instruments sharing a (name, labels) pair by summation. *)
 
   type counter
   type gauge
@@ -51,6 +50,12 @@ module Metrics : sig
   (** Register a fresh counter cell under [name].  Counters are
       monotonically non-decreasing ints, incremented lock-free via
       [Atomic] and therefore safe across Pool domains. *)
+
+  val shared_counter : ?labels:(string * string) list -> string -> counter
+  (** The one process-wide counter cell for (name, labels): registered
+      on the first call and handed out again on every later call until
+      {!reset}.  For owners created per request (one [Session] per
+      [load]) whose cells would otherwise pile up in the registry. *)
 
   val incr : ?by:int -> counter -> unit
   val counter_value : counter -> int
@@ -93,8 +98,9 @@ module Metrics : sig
       cumulative [_bucket{le="..."}] lines plus [_sum] / [_count]. *)
 
   val reset : unit -> unit
-  (** Unregister every instrument (test isolation).  Existing handles
-      keep working but no longer appear in {!dump}. *)
+  (** Unregister every instrument (test isolation), shared cells
+      included: the next {!shared_counter} call registers a fresh one.
+      Existing handles keep working but no longer appear in {!dump}. *)
 end
 
 module Ctx : sig

@@ -101,7 +101,15 @@ let run_stream ~steps seed =
         (Session.Scratch.plan ~seed:(Session.seed s) refnet);
     if step mod 8 = 4 then
       same "solve" Session.equal_solution (Session.solve s)
-        (Session.Scratch.solve ~seed:(Session.seed s) refnet)
+        (Session.Scratch.solve ~seed:(Session.seed s) refnet);
+    if step mod 8 = 2 then
+      same "coverage" Session.equal_coverage (Session.coverage s)
+        (Session.Scratch.coverage ~seed:(Session.seed s) refnet);
+    if step mod 11 = 0 then begin
+      let k = 1 + ((seed + (step / 11)) mod 3) in
+      same "augment" Session.equal_augment (Session.augment s ~k)
+        (Session.Scratch.augment ~seed:(Session.seed s) ~k refnet)
+    end
   done
 
 let test_differential_streams () =
@@ -199,16 +207,43 @@ let test_incremental_shortcuts () =
       | _, Error m -> Alcotest.fail m)
 
 (* ------------------------------------------------------------------ *)
-(* Solve: memo on revisit, store round-trip across sessions, and the   *)
-(* NETTOMO_CHECK differential vs the exact solver                      *)
+(* Memo and store: every query kind computes once, answers a second    *)
+(* ask from its memo, and a fresh session on the same store from the   *)
+(* store — under the NETTOMO_CHECK differential                        *)
 
 module Store = Nettomo_store.Store
 
-let test_solve_memo_and_store () =
+(* One query kind: its name, the network it is asked on, the query and
+   its answer equality. *)
+type kind =
+  | Kind :
+      string * Net.t * (Session.t -> ('a, string) result) * ('a -> 'a -> bool)
+      -> kind
+
+let petersen3 = Net.create Fixtures.petersen ~monitors:[ 0; 1; 2 ]
+
+let kinds =
+  [
+    Kind ("identifiable", petersen3, Session.identifiable, Bool.equal);
+    (* Classification is defined for two monitors only. *)
+    Kind
+      ( "classify",
+        Net.create Fixtures.petersen ~monitors:[ 0; 1 ],
+        Session.classify,
+        Session.equal_classification );
+    Kind ("mmp", petersen3, Session.mmp, Session.equal_report);
+    Kind ("plan", petersen3, Session.plan, Session.equal_plan);
+    Kind ("coverage", petersen3, Session.coverage, Session.equal_coverage);
+    Kind
+      ("augment", petersen3, Session.augment ~k:2, Session.equal_augment);
+    Kind ("solve", petersen3, Session.solve, Session.equal_solution);
+  ]
+
+let with_store_dir name f =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
-      (Printf.sprintf "nettomo-test-solve-store-%d" (Unix.getpid ()))
+      (Printf.sprintf "nettomo-test-%s-%d" name (Unix.getpid ()))
   in
   let rm_rf () =
     if Sys.file_exists dir then begin
@@ -219,48 +254,74 @@ let test_solve_memo_and_store () =
     end
   in
   rm_rf ();
-  Fun.protect ~finally:rm_rf (fun () ->
+  Fun.protect ~finally:rm_rf (fun () -> f dir)
+
+let check_kind store (Kind (name, net, ask, eq)) =
+  let msg m = name ^ ": " ^ m in
+  let same = Session.equal_result eq in
+  let s = Session.create ~seed:11 ~store net in
+  let r0 = ask s in
+  check cb (msg "answers") true (Result.is_ok r0);
+  check Alcotest.int (msg "first ask computes") 1
+    (Session.stats s).Session.full_computes;
+  check Alcotest.int (msg "first ask misses the memo") 0
+    (Session.stats s).Session.memo_hits;
+  let r1 = ask s in
+  check cb (msg "memoized answer identical") true (same r0 r1);
+  check Alcotest.int (msg "second ask is a memo hit") 1
+    (Session.stats s).Session.memo_hits;
+  check Alcotest.int (msg "second ask computes nothing") 1
+    (Session.stats s).Session.full_computes;
+  let puts = (Store.stats store).Store.puts in
+  let hits = (Store.stats store).Store.hits in
+  check cb (msg "artifact published") true (puts > 0);
+  let s2 = Session.create ~seed:11 ~store net in
+  let r2 = ask s2 in
+  check cb (msg "store answer identical") true (same r0 r2);
+  check Alcotest.int (msg "fresh session hits the store") (hits + 1)
+    (Store.stats store).Store.hits;
+  check Alcotest.int (msg "nothing republished") puts
+    (Store.stats store).Store.puts;
+  check Alcotest.int (msg "store hit computes nothing") 0
+    (Session.stats s2).Session.full_computes
+
+let test_memo_and_store () =
+  with_store_dir "memo-store" (fun dir ->
       Invariant.with_enabled true (fun () ->
-          let net = Net.create Fixtures.petersen ~monitors:[ 0; 1; 2 ] in
           let store = Store.open_dir dir in
-          let s = Session.create ~seed:11 ~store net in
-          let r0 = Session.solve s in
-          check cb "solve computes" true (Result.is_ok r0);
-          check cb "solve equals scratch" true
-            (Session.equal_result Session.equal_solution r0
-               (Session.Scratch.solve ~seed:11 net));
-          (match r0 with
+          List.iter (check_kind store) kinds;
+          (* Solve specifics: one walk per link, and a different seed
+             draws different ground truth under a distinct key. *)
+          (match Session.solve (Session.create ~seed:11 ~store petersen3) with
           | Ok sol ->
               check Alcotest.int "one walk per link"
                 (Graph.n_edges Fixtures.petersen)
                 sol.Nettomo_measure.Solve.measurements
           | Error m -> Alcotest.fail m);
-          (* Second ask on the same state: the per-state memo answers. *)
-          let hits = (Session.stats s).Session.memo_hits in
-          let r1 = Session.solve s in
-          check cb "memoized answer identical" true
-            (Session.equal_result Session.equal_solution r0 r1);
-          check cb "memo hit" true ((Session.stats s).Session.memo_hits > hits);
-          let puts_a = (Store.stats store).Store.puts in
-          check cb "artifact published" true (puts_a > 0);
-          (* Fresh session, same store: the answer rounds through the
-             sol artifact bit-exactly, with no new publication. *)
-          let s2 = Session.create ~seed:11 ~store net in
-          let hits_a = (Store.stats store).Store.hits in
-          let r2 = Session.solve s2 in
-          check cb "warm answer identical" true
-            (Session.equal_result Session.equal_solution r0 r2);
-          check cb "store hit" true ((Store.stats store).Store.hits > hits_a);
-          check Alcotest.int "nothing republished" puts_a
-            (Store.stats store).Store.puts;
-          (* A different seed draws different ground truth: distinct
-             key, distinct answer. *)
-          let s3 = Session.create ~seed:12 ~store net in
-          match (r0, Session.solve s3) with
+          match
+            ( Session.solve (Session.create ~seed:11 ~store petersen3),
+              Session.solve (Session.create ~seed:12 ~store petersen3) )
+          with
           | Ok a, Ok b ->
               check cb "seed changes the campaign" false
                 (Session.equal_solution a b)
-          | _ -> Alcotest.fail "solve failed under seed 12"))
+          | _ -> Alcotest.fail "solve failed"))
+
+let test_augment_budget_revisit () =
+  (* The augment memo is keyed by (state, k): going back to an earlier
+     budget on the same state answers from memory. *)
+  Invariant.with_enabled true (fun () ->
+      let s = Session.create ~seed:11 petersen3 in
+      let r1 = Session.augment s ~k:1 in
+      ignore (Session.augment s ~k:2);
+      let computes = (Session.stats s).Session.full_computes in
+      let r1' = Session.augment s ~k:1 in
+      check cb "k = 1 answer identical" true
+        (Session.equal_result Session.equal_augment r1 r1');
+      check Alcotest.int "k = 1 revisit is a memo hit" 1
+        (Session.stats s).Session.memo_hits;
+      check Alcotest.int "k = 1 revisit computes nothing" computes
+        (Session.stats s).Session.full_computes)
 
 let test_solve_rejects () =
   (* Errors mirror the library and are memoized like answers. *)
@@ -353,8 +414,10 @@ let suite =
       test_invalid_deltas;
     Alcotest.test_case "memo hits and verdict carries" `Quick
       test_incremental_shortcuts;
-    Alcotest.test_case "solve memo and store round-trip" `Quick
-      test_solve_memo_and_store;
+    Alcotest.test_case "memo and store for every kind" `Quick
+      test_memo_and_store;
+    Alcotest.test_case "augment budget revisit" `Quick
+      test_augment_budget_revisit;
     Alcotest.test_case "solve rejects bad networks" `Quick test_solve_rejects;
     Alcotest.test_case "batch identical across jobs" `Quick
       test_batch_jobs_deterministic;

@@ -330,6 +330,27 @@ let test_serve_eof_without_newline () =
      terminated one. *)
   check cs "newline at EOF is immaterial" (serve_string (requests ^ "\n")) out
 
+(* Every [load] creates a session, and a server answers load after
+   load: nothing a replaced session allocated, its metric cells
+   included, may stay reachable from the process-wide registry. *)
+let test_load_does_not_leak () =
+  let s = fresh () in
+  let loads n =
+    for _ = 1 to n do
+      ignore (Protocol.handle_line s fig1_line)
+    done
+  in
+  let heap () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.heap_words
+  in
+  loads 100;
+  let before = heap () in
+  loads 10_000;
+  let grown = heap () - before in
+  if grown >= 1_000_000 then
+    Alcotest.failf "10k loads grew the compacted heap by %d words" grown
+
 let suite =
   [
     Alcotest.test_case "bad_json" `Quick test_bad_json;
@@ -350,4 +371,6 @@ let suite =
     Alcotest.test_case "framing: oversized lines" `Quick test_framing_overflow;
     Alcotest.test_case "serve answers a final line without newline" `Quick
       test_serve_eof_without_newline;
+    Alcotest.test_case "10k loads do not grow the heap" `Quick
+      test_load_does_not_leak;
   ]
